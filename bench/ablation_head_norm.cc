@@ -26,9 +26,9 @@ main()
     const auto scenarios = static_cast<std::size_t>(
         bench::envInt("ADRIAS_BENCH_SCENARIOS", 4));
     for (std::size_t i = 0; i < scenarios; ++i) {
-        scenario::ScenarioRunner runner(bench::evalScenario(6000 + i, 30));
+        scenario::ScenarioEngine engine(bench::evalScenario(6000 + i, 30));
         scenario::RandomPlacement policy(6100 + i);
-        results.push_back(runner.run(policy));
+        results.push_back(engine.run(policy));
     }
     auto samples = scenario::DatasetBuilder::systemState(results, 5);
     auto [train, test] =

@@ -34,13 +34,13 @@ evaluate(scenario::PlacementPolicy &placement, bool with_migrator,
     Cell cell;
     std::vector<double> times;
     for (std::size_t i = 0; i < repeats; ++i) {
-        scenario::ScenarioRunner runner(
+        scenario::ScenarioEngine engine(
             bench::evalScenario(8000 + i * 13, 20));
         core::MigratorConfig config;
         config.slowdownThreshold = 2.0;
         core::ThresholdMigrator migrator(config);
         const auto result =
-            runner.run(placement, with_migrator ? &migrator : nullptr);
+            engine.run(placement, with_migrator ? &migrator : nullptr);
         for (const auto &record : result.records) {
             if (record.cls != WorkloadClass::BestEffort)
                 continue;

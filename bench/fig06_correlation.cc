@@ -47,10 +47,10 @@ main()
         static_cast<std::size_t>(bench::envInt("ADRIAS_BENCH_SCENARIOS",
                                                4));
     for (std::size_t i = 0; i < scenarios; ++i) {
-        scenario::ScenarioRunner runner(
+        scenario::ScenarioEngine engine(
             bench::evalScenario(500 + i, 25));
         scenario::RandomPlacement policy(600 + i);
-        results.push_back(runner.run(policy));
+        results.push_back(engine.run(policy));
     }
 
     // Performance vs prior/during metric means for remote BE records.

@@ -26,9 +26,9 @@ traceScenario(SimTime spawn_max, const std::string &label)
     config.spawnMinSec = 5;
     config.spawnMaxSec = spawn_max;
     config.seed = 800 + static_cast<std::uint64_t>(spawn_max);
-    scenario::ScenarioRunner runner(config);
+    scenario::ScenarioEngine engine(config);
     scenario::RandomPlacement policy(900);
-    const auto result = runner.run(policy);
+    const auto result = engine.run(policy);
 
     stats::OnlineStats concurrency;
     for (int c : result.concurrency)

@@ -28,11 +28,11 @@ main()
     std::map<std::string, std::vector<double>> local_times, remote_times;
     for (std::size_t i = 0; i < scenarios; ++i) {
         for (SimTime spawn_max : {20, 40, 60}) {
-            scenario::ScenarioRunner runner(bench::evalScenario(
+            scenario::ScenarioEngine engine(bench::evalScenario(
                 1000 + i * 10 + static_cast<std::uint64_t>(spawn_max),
                 spawn_max));
             scenario::RandomPlacement policy(1100 + i);
-            const auto result = runner.run(policy);
+            const auto result = engine.run(policy);
             for (const auto &record : result.records) {
                 if (record.cls != WorkloadClass::BestEffort)
                     continue;

@@ -37,9 +37,9 @@ evaluate(scenario::PlacementPolicy &policy, std::size_t repeats)
     PolicyOutcome outcome;
     outcome.name = policy.name();
     for (std::size_t i = 0; i < repeats; ++i) {
-        scenario::ScenarioRunner runner(
+        scenario::ScenarioEngine engine(
             bench::evalScenario(3000 + i * 7, 25));
-        const auto result = runner.run(policy);
+        const auto result = engine.run(policy);
         outcome.traffic_gb += result.totalRemoteTrafficGB;
         for (const auto &record : result.records) {
             if (record.cls != WorkloadClass::BestEffort)

@@ -87,8 +87,8 @@ main(int argc, char **argv)
                 scenario::ScenarioConfig config =
                     bench::evalScenario(4000 + i * 3, 25);
                 config.lcFraction = 0.30;
-                scenario::ScenarioRunner runner(config);
-                const auto result = runner.run(policy);
+                scenario::ScenarioEngine engine(config);
+                const auto result = engine.run(policy);
                 for (const auto &record : result.records) {
                     if (record.cls != WorkloadClass::LatencyCritical ||
                         record.name != spec.name)

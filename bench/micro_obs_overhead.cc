@@ -36,9 +36,9 @@ runOnce(std::uint64_t seed)
     // Long enough that a timed rep is tens of milliseconds; otherwise
     // the overhead percentages just measure scheduler noise.
     config.durationSec = bench::envInt("ADRIAS_BENCH_DURATION", 20000);
-    scenario::ScenarioRunner runner(config, testbed::TestbedParams{});
+    scenario::ScenarioEngine engine(config, testbed::TestbedParams{});
     const auto begin = std::chrono::steady_clock::now();
-    const auto result = runner.run(policy);
+    const auto result = engine.run(policy);
     const auto end = std::chrono::steady_clock::now();
     if (result.records.empty())
         fatal("micro_obs_overhead: scenario completed nothing");

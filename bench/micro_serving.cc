@@ -92,8 +92,8 @@ main()
     for (int i = 0; i < 200; ++i)
         watcher.record(bed.tick({}).counters);
     const std::vector<ml::Matrix> window = watcher.binnedWindow(
-        scenario::ScenarioRunner::kWindowSec,
-        scenario::ScenarioRunner::kWindowBins);
+        scenario::ScenarioEngine::kWindowSec,
+        scenario::ScenarioEngine::kWindowBins);
 
     const std::size_t requests = envCount("ADRIAS_BENCH_REQUESTS", 1024);
     const std::vector<serving::PlacementRequest> trace =

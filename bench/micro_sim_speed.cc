@@ -11,7 +11,7 @@
 
 #include "bench/microbench.hh"
 #include "common/threadpool.hh"
-#include "scenario/runner.hh"
+#include "scenario/engine.hh"
 #include "scenario/signature.hh"
 #include "testbed/testbed.hh"
 #include "workloads/spec.hh"
@@ -51,9 +51,9 @@ benchScenarioMinute()
             config.spawnMinSec = 5;
             config.spawnMaxSec = 20;
             config.seed = 42;
-            scenario::ScenarioRunner runner(config);
+            scenario::ScenarioEngine engine(config);
             scenario::RandomPlacement policy(43);
-            runner.run(policy);
+            engine.run(policy);
         },
         bench::micro::envCount("ADRIAS_BENCH_ITERS", 15),
         bench::micro::envCount("ADRIAS_BENCH_WARMUP", 2));

@@ -27,10 +27,10 @@ main()
                                                4));
     const SimTime spawn_maxes[] = {20, 30, 40, 50, 60};
     for (std::size_t i = 0; i < scenarios; ++i) {
-        scenario::ScenarioRunner runner(bench::evalScenario(
+        scenario::ScenarioEngine engine(bench::evalScenario(
             1500 + i, spawn_maxes[i % std::size(spawn_maxes)]));
         scenario::RandomPlacement policy(1600 + i);
-        results.push_back(runner.run(policy));
+        results.push_back(engine.run(policy));
     }
 
     auto samples = scenario::DatasetBuilder::systemState(results, 5);

@@ -37,8 +37,8 @@ runPolicy(scenario::PlacementPolicy &policy, SimTime duration)
     config.spawnMinSec = 5;
     config.spawnMaxSec = 25;
     config.seed = 4242; // identical arrival stream for every policy
-    scenario::ScenarioRunner runner(config);
-    const auto result = runner.run(policy);
+    scenario::ScenarioEngine engine(config);
+    const auto result = engine.run(policy);
 
     PolicyReport report;
     report.name = policy.name();

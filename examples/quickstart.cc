@@ -58,8 +58,8 @@ main()
     scenario_config.spawnMinSec = 5;
     scenario_config.spawnMaxSec = 25;
     scenario_config.seed = 99;
-    scenario::ScenarioRunner runner(scenario_config);
-    const auto result = runner.run(orchestrator);
+    scenario::ScenarioEngine engine(scenario_config);
+    const auto result = engine.run(orchestrator);
 
     std::size_t local = 0, remote = 0;
     for (const auto &record : result.records) {

@@ -35,9 +35,9 @@ main(int argc, char **argv)
         config.spawnMinSec = 5;
         config.spawnMaxSec = 30;
         config.seed = seed;
-        scenario::ScenarioRunner runner(config);
+        scenario::ScenarioEngine engine(config);
         scenario::RandomPlacement policy(seed + 50);
-        results.push_back(runner.run(policy));
+        results.push_back(engine.run(policy));
     }
 
     std::cout << "2. Collecting application signatures...\n";

@@ -23,7 +23,7 @@
 #include "models/guard.hh"
 #include "models/predictor.hh"
 #include "scenario/dataset.hh"
-#include "scenario/runner.hh"
+#include "scenario/engine.hh"
 #include "scenario/signature.hh"
 #include "stats/histogram.hh"
 #include "stats/regression_metrics.hh"

@@ -6,7 +6,7 @@
 
 #include "common/logging.hh"
 #include "common/table.hh"
-#include "scenario/runner.hh"
+#include "scenario/engine.hh"
 
 namespace adrias::core
 {
@@ -42,8 +42,8 @@ AdriasClusterOrchestrator::predictAll(
         if (nodes[n].watcher->sampleCount() == 0)
             continue;
         const auto history = nodes[n].watcher->binnedWindow(
-            scenario::ScenarioRunner::kWindowSec,
-            scenario::ScenarioRunner::kWindowBins);
+            scenario::ScenarioEngine::kWindowSec,
+            scenario::ScenarioEngine::kWindowBins);
         for (MemoryMode mode : {MemoryMode::Local, MemoryMode::Remote}) {
             Candidate candidate;
             candidate.node = n;
@@ -114,11 +114,7 @@ AdriasClusterOrchestrator::place(
     }
 
     if (spec.cls == WorkloadClass::LatencyCritical) {
-        const double qos = [&] {
-            auto it = policy.qosP99Ms.find(spec.name);
-            return it == policy.qosP99Ms.end() ? policy.defaultQosP99Ms
-                                               : it->second;
-        }();
+        const double qos = policy.qosFor(spec.name);
         // Prefer a remote placement that meets QoS (most headroom,
         // least-loaded on iso-QoS); otherwise the safest local one.
         const Candidate *best_remote = nullptr;
@@ -194,10 +190,7 @@ AdriasClusterOrchestrator::onCompletion(
     std::size_t node, const scenario::DeploymentRecord &record)
 {
     (void)node;
-    if (record.cls == WorkloadClass::Interference)
-        return;
-    if (!signatures->has(record.name) && !record.executionWindow.empty())
-        signatures->put(record.name, record.executionWindow);
+    signatures->captureFirstRun(record);
 }
 
 } // namespace adrias::core

@@ -7,7 +7,7 @@
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "obs/obs.hh"
-#include "scenario/runner.hh"
+#include "scenario/engine.hh"
 
 namespace adrias::core
 {
@@ -82,9 +82,7 @@ AdriasOrchestrator::name() const
 double
 AdriasOrchestrator::qosFor(const std::string &app_name) const
 {
-    auto it = policy.qosP99Ms.find(app_name);
-    return it == policy.qosP99Ms.end() ? policy.defaultQosP99Ms
-                                       : it->second;
+    return policy.qosFor(app_name);
 }
 
 MemoryMode
@@ -158,8 +156,8 @@ AdriasOrchestrator::place(const workloads::WorkloadSpec &spec,
     }
 
     const auto history = watcher.binnedWindow(
-        scenario::ScenarioRunner::kWindowSec,
-        scenario::ScenarioRunner::kWindowBins);
+        scenario::ScenarioEngine::kWindowSec,
+        scenario::ScenarioEngine::kWindowBins);
     const auto &signature = signatures->get(spec.name);
 
     MemoryMode mode = MemoryMode::Local;
@@ -212,12 +210,7 @@ AdriasOrchestrator::place(const workloads::WorkloadSpec &spec,
 void
 AdriasOrchestrator::onCompletion(const scenario::DeploymentRecord &record)
 {
-    if (record.cls == WorkloadClass::Interference)
-        return;
-    // First encounter finished its bootstrap run on remote memory:
-    // store the captured execution-window metrics as its signature.
-    if (!signatures->has(record.name) && !record.executionWindow.empty())
-        signatures->put(record.name, record.executionWindow);
+    signatures->captureFirstRun(record);
 }
 
 void

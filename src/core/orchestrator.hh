@@ -42,6 +42,15 @@ struct AdriasConfig
     /** Fallback QoS when an LC app has no explicit entry. */
     double defaultQosP99Ms = 1.0;
 
+    /** QoS threshold of one LC application: its entry, else the
+     *  default. */
+    double
+    qosFor(const std::string &app) const
+    {
+        const auto it = qosP99Ms.find(app);
+        return it == qosP99Ms.end() ? defaultQosP99Ms : it->second;
+    }
+
     /**
      * Degraded-mode placement when the prediction path is
      * unavailable.  BE apps take the paper's bootstrap default

@@ -119,7 +119,6 @@ Matrix::matmulInto(const Matrix &other, Matrix &out) const
     out.resize(nRows, other.nCols);
     const std::size_t inner = nCols;
     const std::size_t width = other.nCols;
-    const std::size_t block = g_parallel.gemmBlock;
     // Partitioned over output rows: each row accumulates over k in
     // fixed index order, so the result never depends on the partition.
     // i-k-j loop order keeps the inner loop contiguous in both inputs.
@@ -137,48 +136,6 @@ Matrix::matmulInto(const Matrix &other, Matrix &out) const
                 simd::gemmRows(data.data(), other.data.data(),
                                out.data.data(), begin, end, inner,
                                width);
-            });
-        return;
-    }
-    if (block > 0 && (inner > block || width > block)) {
-        // Cache-blocked variant: tiles over j and k reorder only which
-        // (k, j) pairs are visited together; for any fixed output
-        // element the k tiles and the k indices inside each tile both
-        // increase, so the accumulation order — and hence the result —
-        // is bitwise identical to the streaming loop (DESIGN.md §11).
-        kernels::runRows(
-            nRows, nRows * inner * width, g_parallel.gemmGrain,
-            [this, &other, &out, inner, width,
-             block](std::size_t begin, std::size_t end) {
-                // checkNoAlias guarantees the operands are distinct
-                // objects, so __restrict is sound and lets the j loop
-                // vectorize without runtime alias checks.
-                const double *__restrict rhs_data = other.data.data();
-                double *__restrict out_data = out.data.data();
-                for (std::size_t i = begin; i < end; ++i) {
-                    double *out_row = &out_data[i * width];
-                    const double *lhs_row = &data[i * inner];
-                    for (std::size_t jb = 0; jb < width; jb += block) {
-                        const std::size_t jend =
-                            std::min(jb + block, width);
-                        for (std::size_t kb = 0; kb < inner;
-                             kb += block) {
-                            const std::size_t kend =
-                                std::min(kb + block, inner);
-                            for (std::size_t k = kb; k < kend; ++k) {
-                                const double lhs = lhs_row[k];
-                                // Exact-zero sparsity skip.
-                                // NOLINTNEXTLINE(float-equal)
-                                if (lhs == 0.0)
-                                    continue;
-                                const double *rhs_row =
-                                    &rhs_data[k * width];
-                                for (std::size_t j = jb; j < jend; ++j)
-                                    out_row[j] += lhs * rhs_row[j];
-                            }
-                        }
-                    }
-                }
             });
         return;
     }
@@ -269,48 +226,11 @@ Matrix::transposedMatmulInto(const Matrix &other, Matrix &out) const
     const std::size_t inner = nRows;
     const std::size_t width = other.nCols;
     const std::size_t stride = nCols;
-    const std::size_t block = g_parallel.gemmBlock;
     // Partitioned over output rows i (columns of this).  Every
     // out(i, j) accumulates over k in increasing order — the same
     // per-element order as a k-outer loop — so per-sample gradient
     // contributions (k indexes the sample in backward passes) are
     // summed in fixed index order regardless of thread count.
-    if (block > 0 && (inner > block || width > block)) {
-        // Blocked variant: same tiling argument as matmulInto — per
-        // output element the k order stays globally increasing.
-        kernels::runRows(
-            nCols, inner * nCols * width, g_parallel.gemmGrain,
-            [this, &other, &out, inner, width, stride,
-             block](std::size_t begin, std::size_t end) {
-                // checkNoAlias guarantees distinct objects.
-                const double *__restrict rhs_data = other.data.data();
-                double *__restrict out_data = out.data.data();
-                for (std::size_t i = begin; i < end; ++i) {
-                    double *out_row = &out_data[i * width];
-                    for (std::size_t jb = 0; jb < width; jb += block) {
-                        const std::size_t jend =
-                            std::min(jb + block, width);
-                        for (std::size_t kb = 0; kb < inner;
-                             kb += block) {
-                            const std::size_t kend =
-                                std::min(kb + block, inner);
-                            for (std::size_t k = kb; k < kend; ++k) {
-                                const double lhs = data[k * stride + i];
-                                // Exact-zero sparsity skip.
-                                // NOLINTNEXTLINE(float-equal)
-                                if (lhs == 0.0)
-                                    continue;
-                                const double *rhs_row =
-                                    &rhs_data[k * width];
-                                for (std::size_t j = jb; j < jend; ++j)
-                                    out_row[j] += lhs * rhs_row[j];
-                            }
-                        }
-                    }
-                }
-            });
-        return;
-    }
     kernels::runRows(
         nCols, inner * nCols * width, g_parallel.gemmGrain,
         [this, &other, &out, inner, width, stride](std::size_t begin,

@@ -43,16 +43,6 @@ struct MatrixParallelConfig
 
     /** Element count above which element-wise kernels go parallel. */
     std::size_t elementGrain = 256 * 1024;
-
-    /**
-     * Tile edge for the cache-blocked GEMM path (matmul and
-     * transposedMatmul); 0 keeps the streaming i-k-j loop.  Blocking
-     * regroups the loop nest but leaves every output element's
-     * k-accumulation order untouched, so blocked and unblocked results
-     * are bitwise identical (DESIGN.md §11); the knob only trades loop
-     * overhead against cache reuse on shapes wider than the tile.
-     */
-    std::size_t gemmBlock = 0;
 };
 
 /** @return the active kernel-parallelism thresholds. */

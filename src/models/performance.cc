@@ -137,7 +137,7 @@ PerformanceModel::backwardBatch(const ml::Matrix &grad_output,
     // Gradients w.r.t. mode and future inputs are discarded — they are
     // inputs, not parameters.  The two LSTM-branch slices land directly
     // in their sequence slots (no intermediate copies).
-    const std::size_t bins = scenario::ScenarioRunner::kWindowBins;
+    const std::size_t bins = scenario::ScenarioEngine::kWindowBins;
     std::vector<ml::Matrix> grad_h2(bins, ml::Matrix(batch_rows, H));
     grad_hidden.colRangeInto(0, H, grad_h2.back());
     historyLstm1->backwardSequence(historyLstm2->backwardSequence(grad_h2));

@@ -5,7 +5,7 @@
 #include "common/logging.hh"
 #include "ml/simd.hh"
 #include "obs/obs.hh"
-#include "scenario/runner.hh"
+#include "scenario/engine.hh"
 
 namespace adrias::models
 {
@@ -70,8 +70,8 @@ Predictor::predictSystemState(const telemetry::Watcher &watcher) const
     if (!isTrained)
         fatal("Predictor::predictSystemState before train()");
     const auto window = watcher.binnedWindow(
-        scenario::ScenarioRunner::kWindowSec,
-        scenario::ScenarioRunner::kWindowBins);
+        scenario::ScenarioEngine::kWindowSec,
+        scenario::ScenarioEngine::kWindowBins);
     return system->predict(window);
 }
 

@@ -57,7 +57,7 @@ SystemStateModel::backwardBatch(const ml::Matrix &grad_output,
 {
     ml::Matrix grad_last = head->backward(grad_output);
     std::vector<ml::Matrix> grad_hidden2(
-        scenario::ScenarioRunner::kWindowBins,
+        scenario::ScenarioEngine::kWindowBins,
         ml::Matrix(batch_rows, config.hidden));
     grad_hidden2.back() = std::move(grad_last);
     const auto grad_hidden1 = lstm2->backwardSequence(grad_hidden2);

@@ -14,6 +14,10 @@
  *    all nodes, where a remote placement is a (node, server, link)
  *    triple, servers account allocated capacity, and per-link fault
  *    injection targets links by name.
+ *
+ * Both draw the same arrival stream as ScenarioEngine (drawArrival)
+ * and build the same completion records (completionRecord); they
+ * differ only in how an arrival is placed and how a second is ticked.
  */
 
 #ifndef ADRIAS_SCENARIO_CLUSTER_HH
@@ -24,7 +28,7 @@
 #include <vector>
 
 #include "scenario/placement.hh"
-#include "scenario/runner.hh"
+#include "scenario/engine.hh"
 #include "testbed/rack.hh"
 #include "testbed/topology.hh"
 
@@ -232,7 +236,9 @@ class ClusterScenarioRunner
 {
   public:
     /**
-     * Legacy model: `nodes` independent borrower/lender pairs.
+     * Legacy model: `nodes` independent borrower/lender pairs.  It
+     * has no fault injector, so a non-empty `config.faults` is
+     * rejected.
      *
      * @param nodes cluster size (>= 1).
      * @param config arrival/scenario knobs (shared stream).

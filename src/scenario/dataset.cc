@@ -29,8 +29,8 @@ DatasetBuilder::systemState(const std::vector<ScenarioResult> &results,
     if (stride_sec == 0)
         fatal("DatasetBuilder::systemState: stride must be positive");
 
-    const std::size_t window = ScenarioRunner::kWindowSec;
-    const std::size_t bins = ScenarioRunner::kWindowBins;
+    const std::size_t window = ScenarioEngine::kWindowSec;
+    const std::size_t bins = ScenarioEngine::kWindowBins;
 
     std::vector<SystemStateSample> samples;
     for (const ScenarioResult &result : results) {
@@ -55,7 +55,7 @@ DatasetBuilder::performance(const std::vector<ScenarioResult> &results,
                             const SignatureStore &signatures,
                             WorkloadClass cls)
 {
-    const std::size_t window = ScenarioRunner::kWindowSec;
+    const std::size_t window = ScenarioEngine::kWindowSec;
 
     std::vector<PerformanceSample> samples;
     for (const ScenarioResult &result : results) {

@@ -14,7 +14,7 @@
 
 #include "common/rng.hh"
 #include "ml/matrix.hh"
-#include "scenario/runner.hh"
+#include "scenario/engine.hh"
 #include "scenario/signature.hh"
 
 namespace adrias::scenario

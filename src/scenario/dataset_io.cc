@@ -17,7 +17,7 @@ using testbed::kNumPerfEvents;
 namespace
 {
 
-constexpr std::size_t kBins = ScenarioRunner::kWindowBins;
+constexpr std::size_t kBins = ScenarioEngine::kWindowBins;
 
 /** Append a time-major sequence's cells to a flat row. */
 void

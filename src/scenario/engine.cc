@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "common/threadpool.hh"
 #include "obs/obs.hh"
 #include "testbed/topology.hh"
 
@@ -139,6 +140,91 @@ loadRecord(io::BinaryReader &in)
 
 } // namespace
 
+std::vector<const DeploymentRecord *>
+ScenarioResult::recordsOfClass(WorkloadClass cls) const
+{
+    std::vector<const DeploymentRecord *> selected;
+    for (const DeploymentRecord &record : records)
+        if (record.cls == cls)
+            selected.push_back(&record);
+    return selected;
+}
+
+std::vector<ml::Matrix>
+historyWindowAt(const std::vector<testbed::CounterSample> &trace,
+                SimTime arrival)
+{
+    if (arrival <= 0 || trace.empty())
+        return {};
+    const auto end = std::min<std::size_t>(
+        static_cast<std::size_t>(arrival), trace.size());
+    const std::size_t begin =
+        end > ScenarioEngine::kWindowSec ? end - ScenarioEngine::kWindowSec
+                                         : 0;
+    return telemetry::binSpan(trace, begin, end,
+                              ScenarioEngine::kWindowBins);
+}
+
+void
+checkScenarioConfig(const ScenarioConfig &config, const std::string &who,
+                    bool injectsFaults)
+{
+    if (config.durationSec <= 0)
+        fatal(who + ": duration must be positive");
+    if (config.spawnMinSec <= 0 || config.spawnMaxSec < config.spawnMinSec)
+        fatal(who + ": invalid spawn interval");
+    if (config.ibenchFraction + config.lcFraction > 1.0)
+        fatal(who + ": arrival fractions exceed 1");
+    if (!injectsFaults && !config.faults.empty())
+        fatal(who + ": this model has no fault injector; the fault "
+                    "schedule would be ignored");
+}
+
+const WorkloadSpec &
+drawArrival(Rng &rng, const ScenarioConfig &config)
+{
+    const double draw = rng.uniform();
+    if (draw < config.ibenchFraction) {
+        static constexpr IBenchKind kinds[] = {
+            IBenchKind::Cpu, IBenchKind::L2, IBenchKind::L3,
+            IBenchKind::MemBw};
+        return workloads::ibenchSpec(kinds[rng.uniformInt(0, 3)]);
+    }
+    const std::vector<WorkloadSpec> &pool =
+        draw < config.ibenchFraction + config.lcFraction
+            ? workloads::latencyCriticalBenchmarks()
+            : workloads::sparkBenchmarks();
+    return pool[static_cast<std::size_t>(
+        rng.uniformInt(0, static_cast<std::int64_t>(pool.size()) - 1))];
+}
+
+DeploymentRecord
+completionRecord(const WorkloadInstance &done, SimTime completion,
+                 const std::vector<testbed::CounterSample> &trace)
+{
+    DeploymentRecord record;
+    record.id = done.id();
+    record.name = done.spec().name;
+    record.cls = done.spec().cls;
+    record.mode = done.mode();
+    record.arrival = done.arrivalTime();
+    record.completion = completion;
+    record.execTimeSec = done.executionTimeSec();
+    if (record.cls == WorkloadClass::LatencyCritical) {
+        record.p99Ms = done.tailLatencyMs(0.99);
+        record.p999Ms = done.tailLatencyMs(0.999);
+        record.meanLatencyMs = done.meanLatencyMs();
+    }
+    record.meanSlowdown = done.meanSlowdown();
+    record.remoteTrafficGB = done.remoteTrafficGB();
+    record.migrations = done.migrationCount();
+    record.historyWindow = historyWindowAt(trace, record.arrival);
+    record.executionWindow = telemetry::binSpan(
+        trace, static_cast<std::size_t>(record.arrival), trace.size(),
+        ScenarioEngine::kWindowBins);
+    return record;
+}
+
 ScenarioEngine::ScenarioEngine(ScenarioConfig config_,
                                testbed::TestbedParams params)
     : config(std::move(config_)),
@@ -146,13 +232,7 @@ ScenarioEngine::ScenarioEngine(ScenarioConfig config_,
       rng(config.seed), bed(testbedParams, rng.nextU64()),
       watcherState(kWindowSec * 4), injector(config.faults)
 {
-    if (config.durationSec <= 0)
-        fatal("ScenarioEngine: duration must be positive");
-    if (config.spawnMinSec <= 0 || config.spawnMaxSec < config.spawnMinSec)
-        fatal("ScenarioEngine: invalid spawn interval");
-    if (config.ibenchFraction + config.lcFraction > 1.0)
-        fatal("ScenarioEngine: arrival fractions exceed 1");
-
+    checkScenarioConfig(config, "ScenarioEngine", /*injectsFaults=*/true);
     bed.setNoise(config.counterNoise);
     result.trace.reserve(static_cast<std::size_t>(config.durationSec));
     result.concurrency.reserve(
@@ -169,11 +249,6 @@ ScenarioEngine::queueReplayDecision(const PlacementDecision &decision)
 void
 ScenarioEngine::admitArrivals(PlacementPolicy &policy)
 {
-    const auto &sparks = workloads::sparkBenchmarks();
-    const auto &lcs = workloads::latencyCriticalBenchmarks();
-    const IBenchKind ibench_kinds[] = {IBenchKind::Cpu, IBenchKind::L2,
-                                       IBenchKind::L3, IBenchKind::MemBw};
-
     while (now_ >= nextArrival) {
         nextArrival +=
             rng.uniformInt(config.spawnMinSec, config.spawnMaxSec);
@@ -187,25 +262,12 @@ ScenarioEngine::admitArrivals(PlacementPolicy &policy)
             continue; // testbed full: drop, as the prototype would
         }
 
-        const double draw = rng.uniform();
-        const WorkloadSpec *spec = nullptr;
-        bool is_ibench = false;
-        if (draw < config.ibenchFraction) {
-            spec = &workloads::ibenchSpec(
-                ibench_kinds[rng.uniformInt(0, 3)]);
-            is_ibench = true;
-        } else if (draw < config.ibenchFraction + config.lcFraction) {
-            spec = &lcs[static_cast<std::size_t>(rng.uniformInt(
-                0, static_cast<std::int64_t>(lcs.size()) - 1))];
-        } else {
-            spec = &sparks[static_cast<std::size_t>(rng.uniformInt(
-                0, static_cast<std::int64_t>(sparks.size()) - 1))];
-        }
+        const WorkloadSpec &spec = drawArrival(rng, config);
 
         // Trashers model background interference and are always
         // placed randomly; applications go through the policy.
         MemoryMode mode;
-        if (is_ibench) {
+        if (spec.cls == WorkloadClass::Interference) {
             mode = rng.bernoulli(0.5) ? MemoryMode::Remote
                                       : MemoryMode::Local;
         } else {
@@ -213,8 +275,8 @@ ScenarioEngine::admitArrivals(PlacementPolicy &policy)
             // its internal RNG/predictor state advances exactly as in
             // the original execution — and the re-derived decision is
             // verified against the write-ahead journal.
-            mode = policy.place(*spec, watcherState, now_);
-            const PlacementDecision decision{now_, nextId, spec->name,
+            mode = policy.place(spec, watcherState, now_);
+            const PlacementDecision decision{now_, nextId, spec.name,
                                              mode};
             if (!replayQueue.empty()) {
                 const PlacementDecision expected = replayQueue.front();
@@ -234,9 +296,8 @@ ScenarioEngine::admitArrivals(PlacementPolicy &policy)
             }
         }
 
-        auto instance = std::make_unique<WorkloadInstance>(
-            nextId++, *spec, mode, now_, rng.nextU64());
-        running.push_back(std::move(instance));
+        running.push_back(std::make_unique<WorkloadInstance>(
+            nextId++, spec, mode, now_, rng.nextU64()));
 
 #if ADRIAS_OBS_ENABLED
         if (obs::enabled()) {
@@ -245,8 +306,8 @@ ScenarioEngine::admitArrivals(PlacementPolicy &policy)
                 .add();
             if (obs::Tracer::global().enabled()) {
                 obs::Tracer::global().simInstant(
-                    "arrival:" + spec->name, "scenario", now_,
-                    {obs::arg("class", toString(spec->cls)),
+                    "arrival:" + spec.name, "scenario", now_,
+                    {obs::arg("class", toString(spec.cls)),
                      obs::arg("mode", toString(mode))});
             }
         }
@@ -260,28 +321,8 @@ ScenarioEngine::harvestCompletions(PlacementPolicy &policy)
     for (std::size_t i = running.size(); i-- > 0;) {
         if (!running[i]->finished())
             continue;
-        const WorkloadInstance &done = *running[i];
-        DeploymentRecord record;
-        record.id = done.id();
-        record.name = done.spec().name;
-        record.cls = done.spec().cls;
-        record.mode = done.mode();
-        record.arrival = done.arrivalTime();
-        record.completion = now_ + 1;
-        record.execTimeSec = done.executionTimeSec();
-        if (record.cls == WorkloadClass::LatencyCritical) {
-            record.p99Ms = done.tailLatencyMs(0.99);
-            record.p999Ms = done.tailLatencyMs(0.999);
-            record.meanLatencyMs = done.meanLatencyMs();
-        }
-        record.meanSlowdown = done.meanSlowdown();
-        record.remoteTrafficGB = done.remoteTrafficGB();
-        record.migrations = done.migrationCount();
-        record.historyWindow = historyWindowAt(result.trace,
-                                               record.arrival);
-        record.executionWindow = telemetry::binSpan(
-            result.trace, static_cast<std::size_t>(record.arrival),
-            result.trace.size(), kWindowBins);
+        DeploymentRecord record =
+            completionRecord(*running[i], now_ + 1, result.trace);
         policy.onCompletion(record);
 #if ADRIAS_OBS_ENABLED
         if (obs::enabled()) {
@@ -379,6 +420,22 @@ ScenarioEngine::finish()
     result.faultSummary = injector.stats();
     result.watcherHealth = watcherState.health();
     return std::move(result);
+}
+
+ScenarioResult
+ScenarioEngine::run(PlacementPolicy &policy, RuntimePolicy *runtime)
+{
+#if ADRIAS_OBS_ENABLED
+    obs::WallSpan run_span(
+        "run", "scenario",
+        {obs::arg("seed", static_cast<std::int64_t>(config.seed)),
+         obs::arg("duration_s",
+                  static_cast<std::int64_t>(config.durationSec)),
+         obs::arg("policy", policy.name())});
+#endif
+    while (!finished())
+        stepTick(policy, runtime);
+    return finish();
 }
 
 void
@@ -482,6 +539,54 @@ ScenarioEngine::restoreState(io::BinaryReader &in)
                          "ScenarioEngine: snapshot trace length does not "
                          "match its tick cursor");
     return {};
+}
+
+std::vector<ScenarioResult>
+runScenarioSweep(
+    const std::vector<ScenarioConfig> &configs,
+    testbed::TestbedParams params,
+    const std::function<std::unique_ptr<PlacementPolicy>(std::size_t)>
+        &makePolicy)
+{
+    // Policies first, serially and in order: a factory drawing from a
+    // shared Rng must consume it identically at every thread count.
+    std::vector<std::unique_ptr<PlacementPolicy>> policies;
+    policies.reserve(configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        policies.push_back(makePolicy(i));
+        if (!policies.back())
+            fatal("runScenarioSweep: makePolicy returned null");
+    }
+
+    // Each item owns its Testbed, Watcher, FaultInjector and policy,
+    // and writes only its own slot — one seed per worker, no sharing.
+    std::vector<ScenarioResult> results(configs.size());
+    ThreadPool::global().parallelForEach(
+        configs.size(), [&](std::size_t i) {
+#if ADRIAS_OBS_ENABLED
+            // One trace lane per sweep item: overlapping per-seed
+            // simulations land on separate about:tracing rows.
+            obs::ScopedLane lane(static_cast<int>(i) + 1);
+#endif
+            ScenarioEngine engine(configs[i], params);
+            results[i] = engine.run(*policies[i]);
+        });
+    return results;
+}
+
+std::vector<ScenarioResult>
+runScenarioSweep(const std::vector<SweepItem> &items,
+                 testbed::TestbedParams params)
+{
+    std::vector<ScenarioConfig> configs;
+    configs.reserve(items.size());
+    for (const SweepItem &item : items)
+        configs.push_back(item.config);
+    return runScenarioSweep(
+        configs, params, [&items](std::size_t i) {
+            return std::make_unique<RandomPlacement>(
+                items[i].policySeed);
+        });
 }
 
 } // namespace adrias::scenario

@@ -2,7 +2,7 @@
 
 #include "common/logging.hh"
 #include "common/threadpool.hh"
-#include "scenario/runner.hh"
+#include "scenario/engine.hh"
 #include "telemetry/watcher.hh"
 #include "testbed/testbed.hh"
 #include "workloads/workload.hh"
@@ -32,6 +32,15 @@ SignatureStore::put(const std::string &name,
     if (signature.empty())
         fatal("SignatureStore: refusing to store empty signature");
     signatures[name] = std::move(signature);
+}
+
+void
+SignatureStore::captureFirstRun(const DeploymentRecord &record)
+{
+    if (record.cls == WorkloadClass::Interference || has(record.name) ||
+        record.executionWindow.empty())
+        return;
+    signatures[record.name] = record.executionWindow;
 }
 
 void
@@ -114,7 +123,7 @@ collectSignature(const workloads::WorkloadSpec &spec,
     if (trace.empty())
         panic("collectSignature produced an empty trace");
     return telemetry::binSpan(trace, 0, trace.size(),
-                              ScenarioRunner::kWindowBins);
+                              ScenarioEngine::kWindowBins);
 }
 
 void

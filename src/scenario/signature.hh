@@ -15,6 +15,7 @@
 #include "common/error.hh"
 #include "common/io/binary.hh"
 #include "ml/matrix.hh"
+#include "scenario/placement.hh"
 #include "testbed/params.hh"
 #include "workloads/spec.hh"
 
@@ -33,6 +34,13 @@ class SignatureStore
 
     /** Insert or replace a signature. */
     void put(const std::string &name, std::vector<ml::Matrix> signature);
+
+    /**
+     * Bootstrap capture (paper §V-C): the first completed run of an
+     * application without a signature stores its execution window as
+     * the signature.  Trashers and empty windows are ignored.
+     */
+    void captureFirstRun(const DeploymentRecord &record);
 
     /** Remove one signature if present (leave-one-out experiments). */
     void erase(const std::string &name);

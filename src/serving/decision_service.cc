@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "common/logging.hh"
-#include "scenario/runner.hh"
+#include "scenario/engine.hh"
 
 namespace adrias::serving
 {
@@ -83,8 +83,8 @@ DecisionService::beginEpoch(const telemetry::ShardedWatcherSet &feeds,
     EpochSnapshot next;
     next.takenAt = now;
     next.shardWindows =
-        feeds.binnedWindows(scenario::ScenarioRunner::kWindowSec,
-                            scenario::ScenarioRunner::kWindowBins);
+        feeds.binnedWindows(scenario::ScenarioEngine::kWindowSec,
+                            scenario::ScenarioEngine::kWindowBins);
     beginEpoch(std::move(next));
 }
 
@@ -159,14 +159,6 @@ double
 DecisionService::p99LatencyTicks() const
 {
     return latencyTracker.quantile(0.99);
-}
-
-double
-DecisionService::qosFor(const std::string &app) const
-{
-    const auto it = policy.qosP99Ms.find(app);
-    return it == policy.qosP99Ms.end() ? policy.defaultQosP99Ms
-                                       : it->second;
 }
 
 MemoryMode
@@ -358,7 +350,7 @@ DecisionService::decideBatch(SimTime now,
         for (std::size_t j = 0; j < lc_owners.size(); ++j)
             modes[lc_owners[j]] =
                 core::AdriasOrchestrator::decideLatencyCritical(
-                    lc_pred[j], qosFor(requests[lc_owners[j]].app));
+                    lc_pred[j], policy.qosFor(requests[lc_owners[j]].app));
     }
 
     for (std::size_t i = 0; i < requests.size(); ++i)

@@ -247,9 +247,6 @@ class DecisionService : public io::Checkpointable
     /** Dispatch one due batch; appends its decisions to `out`. */
     void decideBatch(SimTime now, std::vector<PlacementDecision> &out);
 
-    /** QoS threshold for one LC app (policy map lookup). */
-    double qosFor(const std::string &app) const;
-
     /** Degraded-mode placement when predictions are unavailable. */
     MemoryMode fallbackMode(WorkloadClass cls) const;
 

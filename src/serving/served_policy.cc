@@ -1,7 +1,7 @@
 #include "serving/served_policy.hh"
 
 #include "common/logging.hh"
-#include "scenario/runner.hh"
+#include "scenario/engine.hh"
 
 namespace adrias::serving
 {
@@ -31,8 +31,8 @@ ServedPlacementPolicy::refreshEpoch(const telemetry::Watcher &watcher,
     snapshot.takenAt = now;
     std::vector<ml::Matrix> window;
     if (watcher.sampleCount() > 0)
-        window = watcher.binnedWindow(scenario::ScenarioRunner::kWindowSec,
-                                      scenario::ScenarioRunner::kWindowBins);
+        window = watcher.binnedWindow(scenario::ScenarioEngine::kWindowSec,
+                                      scenario::ScenarioEngine::kWindowBins);
     snapshot.shardWindows.assign(service->config().shards, window);
     service->beginEpoch(std::move(snapshot));
     epochStarted = true;
@@ -71,12 +71,7 @@ void
 ServedPlacementPolicy::onCompletion(
     const scenario::DeploymentRecord &record)
 {
-    if (record.cls == WorkloadClass::Interference)
-        return;
-    // Same bootstrap rule as the inline orchestrator: first completion
-    // of an unknown app stores its execution window as the signature.
-    if (!signatures->has(record.name) && !record.executionWindow.empty())
-        signatures->put(record.name, record.executionWindow);
+    signatures->captureFirstRun(record);
 }
 
 } // namespace adrias::serving

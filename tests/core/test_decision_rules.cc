@@ -49,11 +49,11 @@ class DecisionRuleTest : public ::testing::Test
     {
         signatures.put("sort",
                        std::vector<ml::Matrix>(
-                           scenario::ScenarioRunner::kWindowBins,
+                           scenario::ScenarioEngine::kWindowBins,
                            ml::Matrix(1, testbed::kNumPerfEvents)));
         signatures.put("redis",
                        std::vector<ml::Matrix>(
-                           scenario::ScenarioRunner::kWindowBins,
+                           scenario::ScenarioEngine::kWindowBins,
                            ml::Matrix(1, testbed::kNumPerfEvents)));
         testbed::CounterSample sample{};
         for (int i = 0; i < 150; ++i)
@@ -167,7 +167,7 @@ TEST_F(DecisionRuleTest, TrasherPlacementPanics)
     // force the panic path by registering one.
     signatures.put("ibench-cpu",
                    std::vector<ml::Matrix>(
-                       scenario::ScenarioRunner::kWindowBins,
+                       scenario::ScenarioEngine::kWindowBins,
                        ml::Matrix(1, testbed::kNumPerfEvents)));
     EXPECT_THROW(
         orchestrator.place(
@@ -213,7 +213,7 @@ TEST(ClusterDecisionRules, PicksBestNodeAndBreaksIsoTiesByLoad)
     scenario::SignatureStore signatures;
     signatures.put("sort",
                    std::vector<ml::Matrix>(
-                       scenario::ScenarioRunner::kWindowBins,
+                       scenario::ScenarioEngine::kWindowBins,
                        ml::Matrix(1, testbed::kNumPerfEvents)));
 
     // Watchers whose first counter encodes the node id.
@@ -254,7 +254,7 @@ TEST(ClusterDecisionRules, LcPrefersQosMeetingRemote)
     scenario::SignatureStore signatures;
     signatures.put("redis",
                    std::vector<ml::Matrix>(
-                       scenario::ScenarioRunner::kWindowBins,
+                       scenario::ScenarioEngine::kWindowBins,
                        ml::Matrix(1, testbed::kNumPerfEvents)));
 
     telemetry::Watcher w0(512), w1(512);

@@ -10,7 +10,7 @@ namespace
 {
 
 using scenario::ScenarioConfig;
-using scenario::ScenarioRunner;
+using scenario::ScenarioEngine;
 
 /** One trained stack shared across the suite (training is the cost). */
 class OrchestratorTest : public ::testing::Test
@@ -119,7 +119,7 @@ TEST_F(OrchestratorTest, UnknownAppBootstrapsOnRemote)
     record.cls = WorkloadClass::BestEffort;
     record.mode = MemoryMode::Remote;
     record.executionWindow.assign(
-        ScenarioRunner::kWindowBins,
+        ScenarioEngine::kWindowBins,
         ml::Matrix(1, testbed::kNumPerfEvents));
     orchestrator.onCompletion(record);
     EXPECT_TRUE(stack->signatures().has("brand-new-app"));
@@ -145,12 +145,12 @@ TEST_F(OrchestratorTest, BetaOneBehavesLikeAllLocal)
     AdriasConfig config;
     config.beta = 1.0;
     auto orchestrator = stack->makeOrchestrator(config);
-    ScenarioRunner adrias_runner(evalConfig(901));
-    const auto adrias_result = adrias_runner.run(orchestrator);
+    ScenarioEngine adrias_engine(evalConfig(901));
+    const auto adrias_result = adrias_engine.run(orchestrator);
 
     AllLocalScheduler all_local;
-    ScenarioRunner local_runner(evalConfig(901));
-    const auto local_result = local_runner.run(all_local);
+    ScenarioEngine local_engine(evalConfig(901));
+    const auto local_result = local_engine.run(all_local);
 
     auto be_median = [](const scenario::ScenarioResult &result) {
         std::vector<double> times;
@@ -182,8 +182,8 @@ TEST_F(OrchestratorTest, LowerBetaOffloadsMore)
         AdriasConfig config;
         config.beta = beta;
         auto orchestrator = stack->makeOrchestrator(config);
-        ScenarioRunner runner(evalConfig(902));
-        const auto result = runner.run(orchestrator);
+        ScenarioEngine engine(evalConfig(902));
+        const auto result = engine.run(orchestrator);
         std::size_t total = 0, remote = 0;
         for (const auto &record : result.records) {
             if (record.cls != WorkloadClass::BestEffort)
@@ -242,8 +242,8 @@ TEST_F(OrchestratorTest, EndToEndBeatsNaiveSchedulersOnMedian)
     // distribution dominates Random/Round-Robin.
     auto median_be = [&](scenario::PlacementPolicy &policy,
                          std::uint64_t seed) {
-        ScenarioRunner runner(evalConfig(seed));
-        const auto result = runner.run(policy);
+        ScenarioEngine engine(evalConfig(seed));
+        const auto result = engine.run(policy);
         std::vector<double> times;
         for (const auto &record : result.records)
             if (record.cls == WorkloadClass::BestEffort)

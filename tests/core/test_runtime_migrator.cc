@@ -11,7 +11,7 @@ namespace
 
 using scenario::RandomPlacement;
 using scenario::ScenarioConfig;
-using scenario::ScenarioRunner;
+using scenario::ScenarioEngine;
 using workloads::WorkloadInstance;
 
 testbed::LoadOutcome
@@ -162,9 +162,9 @@ TEST(ThresholdMigrator, EndToEndRescuesRecklessPlacement)
     config.seed = 515;
 
     auto be_p75 = [&](scenario::RuntimePolicy *runtime) {
-        ScenarioRunner runner(config);
+        ScenarioEngine engine(config);
         RandomPlacement policy(5);
-        const auto result = runner.run(policy, runtime);
+        const auto result = engine.run(policy, runtime);
         std::vector<double> times;
         for (const auto &record : result.records)
             if (record.cls == WorkloadClass::BestEffort)
@@ -188,12 +188,12 @@ TEST(ThresholdMigrator, RecordsCarryMigrationCounts)
     config.spawnMinSec = 5;
     config.spawnMaxSec = 15;
     config.seed = 616;
-    ScenarioRunner runner(config);
+    ScenarioEngine engine(config);
     RandomPlacement policy(5);
     MigratorConfig migrator_config;
     migrator_config.slowdownThreshold = 1.8;
     ThresholdMigrator migrator(migrator_config);
-    const auto result = runner.run(policy, &migrator);
+    const auto result = engine.run(policy, &migrator);
 
     std::size_t migrated_records = 0;
     for (const auto &record : result.records)

@@ -18,7 +18,7 @@
 #include "fault/fault.hh"
 #include "models/guard.hh"
 #include "scenario/cluster.hh"
-#include "scenario/runner.hh"
+#include "scenario/engine.hh"
 #include "scenario/signature.hh"
 #include "stats/percentile.hh"
 #include "testbed/topology.hh"
@@ -32,7 +32,7 @@ using fault::FaultKind;
 using fault::FaultSchedule;
 using scenario::ScenarioConfig;
 using scenario::ScenarioResult;
-using scenario::ScenarioRunner;
+using scenario::ScenarioEngine;
 using testbed::kNumPerfEvents;
 
 /**
@@ -47,7 +47,7 @@ class StubPredictor : public models::PredictorBase
     predictSystemState(const telemetry::Watcher &watcher) const override
     {
         const auto mean = watcher.meanOverTrailing(
-            ScenarioRunner::kWindowSec);
+            ScenarioEngine::kWindowSec);
         ml::Matrix forecast(1, kNumPerfEvents);
         for (std::size_t e = 0; e < kNumPerfEvents; ++e)
             forecast.at(0, e) = mean[e];
@@ -149,8 +149,8 @@ class ChaosTest : public ::testing::Test
         fault::FaultInjector predictor_faults(config.faults);
         models::GuardedPredictor guard(stub, {}, &predictor_faults);
         AdriasOrchestrator orchestrator(guard, *signatures, {});
-        ScenarioRunner runner(config);
-        ChaosRun run{runner.run(orchestrator), orchestrator.stats(),
+        ScenarioEngine engine(config);
+        ChaosRun run{engine.run(orchestrator), orchestrator.stats(),
                      guard.breaker().stats(), guard.breaker().state()};
         return run;
     }
@@ -206,7 +206,7 @@ TEST_F(ChaosTest, GuardEnforcesDeadline)
 
     guard.beginDecision(5);
     std::vector<ml::Matrix> sequence(
-        ScenarioRunner::kWindowBins, ml::Matrix(1, kNumPerfEvents));
+        ScenarioEngine::kWindowBins, ml::Matrix(1, kNumPerfEvents));
     for (auto &step : sequence)
         for (double &v : step.raw())
             v = 1.0;
@@ -237,7 +237,7 @@ TEST_F(ChaosTest, ExactlyOnBudgetLatencyIsADeadlineMiss)
     guard.beginDecision(0);
 
     std::vector<ml::Matrix> sequence(
-        ScenarioRunner::kWindowBins, ml::Matrix(1, kNumPerfEvents));
+        ScenarioEngine::kWindowBins, ml::Matrix(1, kNumPerfEvents));
     for (auto &step : sequence)
         for (double &v : step.raw())
             v = 1.0;
@@ -273,7 +273,7 @@ TEST_F(ChaosTest, BatchGateFailsWholeBatchOnDeadline)
     guard.beginDecision(0);
 
     std::vector<ml::Matrix> sequence(
-        ScenarioRunner::kWindowBins, ml::Matrix(1, kNumPerfEvents));
+        ScenarioEngine::kWindowBins, ml::Matrix(1, kNumPerfEvents));
     for (auto &step : sequence)
         for (double &v : step.raw())
             v = 1.0;
@@ -309,10 +309,10 @@ TEST_F(ChaosTest, GuardRejectsInvalidInputsWithoutChargingBreaker)
     guard.beginDecision(0);
 
     std::vector<ml::Matrix> poisoned(
-        ScenarioRunner::kWindowBins, ml::Matrix(1, kNumPerfEvents));
+        ScenarioEngine::kWindowBins, ml::Matrix(1, kNumPerfEvents));
     poisoned[3].at(0, 2) = std::nan("");
     std::vector<ml::Matrix> clean(
-        ScenarioRunner::kWindowBins, ml::Matrix(1, kNumPerfEvents));
+        ScenarioEngine::kWindowBins, ml::Matrix(1, kNumPerfEvents));
 
     for (int i = 0; i < 10; ++i)
         EXPECT_THROW(guard.predictPerformance(
@@ -427,8 +427,8 @@ TEST_F(ChaosTest, DifferentFaultSeedChangesInjectionPattern)
     fault::FaultInjector predictor_faults(config.faults);
     models::GuardedPredictor guard(stub, {}, &predictor_faults);
     AdriasOrchestrator orchestrator(guard, *signatures, {});
-    ScenarioRunner runner(config);
-    const auto reseeded = runner.run(orchestrator);
+    ScenarioEngine engine(config);
+    const auto reseeded = engine.run(orchestrator);
 
     const ChaosRun baseline = runChaos(stub, true);
     EXPECT_NE(reseeded.faultSummary.samplesDropped,

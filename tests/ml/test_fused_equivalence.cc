@@ -291,70 +291,4 @@ TEST_F(FusedEquivalenceTest, BackwardAfterInferenceForwardPanics)
     }
 }
 
-TEST_F(FusedEquivalenceTest, BlockedGemmBitwiseIdentical)
-{
-    // Cache-blocked tiling must not change any output bit: per output
-    // element the k-accumulation order is unchanged (DESIGN.md §11).
-    Rng rng(0xB10C);
-    const std::size_t dims[][3] = {
-        {40, 33, 29}, {7, 64, 7}, {64, 64, 64}, {1, 100, 3},
-    };
-    for (const auto &d : dims) {
-        const Matrix a = randomMatrix(rng, d[0], d[1]);
-        const Matrix b = randomMatrix(rng, d[1], d[2]);
-        const Matrix at = randomMatrix(rng, d[1], d[0]);
-
-        setMatrixParallelConfig({0, 0, 0});
-        Matrix ref_mm, ref_tm;
-        {
-            ScopedThreadOverride serial(1);
-            ref_mm = a.matmul(b);
-            ref_tm = at.transposedMatmul(b);
-        }
-        for (std::size_t block : {4u, 16u, 256u}) {
-            setMatrixParallelConfig({0, 0, block});
-            for (unsigned threads : threadCounts()) {
-                ScopedThreadOverride override_(threads);
-                expectIdentical(ref_mm, a.matmul(b), "blocked matmul");
-                expectIdentical(ref_tm, at.transposedMatmul(b),
-                                "blocked transposedMatmul");
-            }
-        }
-    }
-}
-
-TEST_F(FusedEquivalenceTest, FusedLstmUnderBlockedGemm)
-{
-    // The full fused layer with tiling enabled still matches the
-    // unblocked reference bit for bit.
-    const LstmShape shape{5, 6, 11, 17};
-    Rng rng(0xB10C2);
-    const auto sequence =
-        randomSequence(rng, shape.steps, shape.batch, shape.input);
-    const auto grad_hidden =
-        randomSequence(rng, shape.steps, shape.batch, shape.hidden);
-
-    setLstmFusedKernels(false);
-    setMatrixParallelConfig({0, 0, 0});
-    Lstm reference = makeLstm(shape, 7006);
-    const auto ref_out = reference.forwardSequence(sequence);
-    const auto ref_grad = reference.backwardSequence(grad_hidden);
-
-    setLstmFusedKernels(true);
-    setMatrixParallelConfig({0, 0, 8});
-    for (unsigned threads : threadCounts()) {
-        ScopedThreadOverride override_(threads);
-        Lstm fused = makeLstm(shape, 7006);
-        expectIdentical(ref_out, fused.forwardSequence(sequence),
-                        "fused+blocked forward");
-        expectIdentical(ref_grad, fused.backwardSequence(grad_hidden),
-                        "fused+blocked backward");
-        const auto ref_params = reference.params();
-        const auto fused_params = fused.params();
-        for (std::size_t i = 0; i < fused_params.size(); ++i)
-            expectIdentical(ref_params[i]->grad, fused_params[i]->grad,
-                            "fused+blocked param grad");
-    }
-}
-
 } // namespace

@@ -257,20 +257,6 @@ TEST_F(SimdEquivalenceTest, VectorGemmThreadInvariant)
     }
 }
 
-TEST_F(SimdEquivalenceTest, VectorGemmIgnoresGemmBlockKnob)
-{
-    // The vector kernel register-blocks internally; the cache-block
-    // knob must not change its results (it takes the same path).
-    Rng rng(0x51DF);
-    const Matrix a = randomMatrix(rng, 19, 31);
-    const Matrix b = randomMatrix(rng, 31, 22);
-    const ScopedKernelTier vec(KernelTier::Vector);
-    setMatrixParallelConfig({0, 0, 0});
-    const Matrix unblocked = a.matmul(b);
-    setMatrixParallelConfig({0, 0, 8});
-    expectBitwise(unblocked, a.matmul(b), "vector matmul vs block knob");
-}
-
 // ---------------------------------------------------------------------
 // Fused LSTM forward (inference).
 // ---------------------------------------------------------------------

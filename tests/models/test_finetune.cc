@@ -26,9 +26,9 @@ class FineTuneTest : public ::testing::Test
             config.spawnMinSec = 5;
             config.spawnMaxSec = 25;
             config.seed = seed;
-            scenario::ScenarioRunner runner(config);
+            scenario::ScenarioEngine engine(config);
             scenario::RandomPlacement policy(seed + 5);
-            results.push_back(runner.run(policy));
+            results.push_back(engine.run(policy));
         }
         scenario::SignatureStore signatures;
         scenario::collectAllSignatures(signatures);

@@ -22,7 +22,7 @@ using scenario::PerformanceSample;
 using scenario::RandomPlacement;
 using scenario::ScenarioConfig;
 using scenario::ScenarioResult;
-using scenario::ScenarioRunner;
+using scenario::ScenarioEngine;
 using scenario::SignatureStore;
 using scenario::SystemStateSample;
 
@@ -40,9 +40,9 @@ class ModelsTest : public ::testing::Test
             config.spawnMinSec = 5;
             config.spawnMaxSec = 25;
             config.seed = seed;
-            ScenarioRunner runner(config);
+            ScenarioEngine engine(config);
             RandomPlacement policy(seed + 10);
-            results.push_back(runner.run(policy));
+            results.push_back(engine.run(policy));
         }
         signatures = new SignatureStore;
         scenario::collectAllSignatures(*signatures);

@@ -15,7 +15,7 @@ namespace
 
 using scenario::RandomPlacement;
 using scenario::ScenarioConfig;
-using scenario::ScenarioRunner;
+using scenario::ScenarioEngine;
 
 /** Minimal trained models shared across the suite. */
 class PersistenceTest : public ::testing::Test
@@ -29,9 +29,9 @@ class PersistenceTest : public ::testing::Test
         scenario_config.spawnMinSec = 5;
         scenario_config.spawnMaxSec = 25;
         scenario_config.seed = 313;
-        ScenarioRunner runner(scenario_config);
+        ScenarioEngine engine(scenario_config);
         RandomPlacement policy(314);
-        std::vector<scenario::ScenarioResult> results{runner.run(policy)};
+        std::vector<scenario::ScenarioResult> results{engine.run(policy)};
 
         signatures = new scenario::SignatureStore;
         scenario::collectAllSignatures(*signatures);

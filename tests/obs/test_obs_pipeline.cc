@@ -17,7 +17,7 @@
 #include "core/orchestrator.hh"
 #include "models/guard.hh"
 #include "obs/obs.hh"
-#include "scenario/runner.hh"
+#include "scenario/engine.hh"
 
 namespace
 {
@@ -69,8 +69,8 @@ runPipeline()
     scenario_config.durationSec = 1500;
     scenario_config.spawnMaxSec = 25;
     scenario_config.seed = 11;
-    scenario::ScenarioRunner runner(scenario_config);
-    return runner.run(orchestrator);
+    scenario::ScenarioEngine engine(scenario_config);
+    return engine.run(orchestrator);
 }
 
 #if ADRIAS_OBS_ENABLED

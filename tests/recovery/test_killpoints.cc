@@ -20,7 +20,7 @@
 #include "common/io/binary.hh"
 #include "fault/crash.hh"
 #include "recovery/recoverable.hh"
-#include "scenario/runner.hh"
+#include "scenario/engine.hh"
 
 namespace adrias::recovery
 {
@@ -122,9 +122,9 @@ const std::string &
 baselineDigest()
 {
     static const std::string d = [] {
-        scenario::ScenarioRunner runner(scenarioConfig());
+        scenario::ScenarioEngine engine(scenarioConfig());
         scenario::RandomPlacement policy(kPolicySeed);
-        return digest(runner.run(policy));
+        return digest(engine.run(policy));
     }();
     return d;
 }

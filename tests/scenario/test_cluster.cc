@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/fault.hh"
 #include "scenario/cluster.hh"
 #include "testbed/topology.hh"
 
@@ -28,6 +29,25 @@ TEST(ClusterRunner, ValidatesConfig)
     ScenarioConfig bad = shortConfig();
     bad.durationSec = 0;
     EXPECT_THROW(ClusterScenarioRunner(2, bad), std::runtime_error);
+
+    // Arrival fractions past one are rejected by every model, as the
+    // single-node engine rejects them.
+    ScenarioConfig bad_mix = shortConfig();
+    bad_mix.ibenchFraction = 0.7;
+    bad_mix.lcFraction = 0.4;
+    EXPECT_THROW(ClusterScenarioRunner(2, bad_mix), std::runtime_error);
+    EXPECT_THROW(ClusterScenarioRunner(
+                     testbed::topologyByName("rack-2x2-cxl"), bad_mix),
+                 std::runtime_error);
+
+    // The legacy model has no fault injector: a fault schedule it
+    // would silently ignore is refused instead.  The rack model
+    // accepts it.
+    ScenarioConfig faulty = shortConfig();
+    faulty.faults.add({fault::FaultKind::LinkDegrade, 0, 100, 0.5, 1.0, ""});
+    EXPECT_THROW(ClusterScenarioRunner(2, faulty), std::runtime_error);
+    EXPECT_NO_THROW(ClusterScenarioRunner(
+        testbed::topologyByName("rack-2x2-cxl"), faulty));
 }
 
 TEST(ClusterRunner, PerNodeTracesCoverEveryTick)
@@ -308,11 +328,15 @@ TEST(RackClusterRunner, TinyConcurrencyCapDropsArrivals)
     congested.spawnMinSec = 1;
     congested.spawnMaxSec = 2;
     congested.maxConcurrent = 1;
-    ClusterScenarioRunner runner(
-        testbed::topologyByName("rack-2x2-cxl"), congested);
-    RandomClusterPolicy policy(5);
-    const ClusterResult result = runner.run(policy);
-    EXPECT_GT(result.droppedArrivals, 0u);
+    // Both cluster models count the arrivals a full node turns away.
+    ClusterScenarioRunner rack(testbed::topologyByName("rack-2x2-cxl"),
+                               congested);
+    ClusterScenarioRunner legacy(2, congested);
+    for (ClusterScenarioRunner *runner : {&rack, &legacy}) {
+        RandomClusterPolicy policy(5);
+        const ClusterResult result = runner->run(policy);
+        EXPECT_GT(result.droppedArrivals, 0u);
+    }
 }
 
 /** Ignores rack state entirely: always (n0, Remote, s0, link 0). */

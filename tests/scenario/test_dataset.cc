@@ -37,7 +37,7 @@ TEST(CollectSignature, ShapeAndDeterminism)
     const auto &spec = workloads::sparkBenchmark("gmm");
     const auto sig_a = collectSignature(spec);
     const auto sig_b = collectSignature(spec);
-    ASSERT_EQ(sig_a.size(), ScenarioRunner::kWindowBins);
+    ASSERT_EQ(sig_a.size(), ScenarioEngine::kWindowBins);
     for (std::size_t t = 0; t < sig_a.size(); ++t) {
         EXPECT_EQ(sig_a[t].cols(), testbed::kNumPerfEvents);
         EXPECT_LT((sig_a[t] - sig_b[t]).maxAbs(), 1e-12);
@@ -62,7 +62,7 @@ TEST(CollectSignature, CapsLongRuns)
     // LC servers run for minutes; the profiling budget must bound it.
     const auto sig =
         collectSignature(workloads::redisSpec(), {}, 7, 50);
-    EXPECT_EQ(sig.size(), ScenarioRunner::kWindowBins);
+    EXPECT_EQ(sig.size(), ScenarioEngine::kWindowBins);
 }
 
 TEST(CollectAllSignatures, CoversAllApplications)
@@ -86,9 +86,9 @@ class DatasetTest : public ::testing::Test
         config.spawnMinSec = 5;
         config.spawnMaxSec = 20;
         config.seed = 41;
-        ScenarioRunner runner(config);
+        ScenarioEngine engine(config);
         RandomPlacement policy(5);
-        results = new std::vector<ScenarioResult>{runner.run(policy)};
+        results = new std::vector<ScenarioResult>{engine.run(policy)};
         signatures = new SignatureStore;
         collectAllSignatures(*signatures);
     }
@@ -115,7 +115,7 @@ TEST_F(DatasetTest, SystemStateSamplesHaveShape)
     // 1500 s trace, window+horizon 240 -> ~(1500-240)/15 samples.
     EXPECT_GT(samples.size(), 70u);
     for (const auto &sample : samples) {
-        EXPECT_EQ(sample.history.size(), ScenarioRunner::kWindowBins);
+        EXPECT_EQ(sample.history.size(), ScenarioEngine::kWindowBins);
         EXPECT_EQ(sample.target.rows(), 1u);
         EXPECT_EQ(sample.target.cols(), testbed::kNumPerfEvents);
     }
@@ -142,8 +142,8 @@ TEST_F(DatasetTest, PerformanceSamplesForBestEffort)
     for (const auto &sample : samples) {
         EXPECT_EQ(sample.cls, WorkloadClass::BestEffort);
         EXPECT_GT(sample.target, 0.0);
-        EXPECT_EQ(sample.history.size(), ScenarioRunner::kWindowBins);
-        EXPECT_EQ(sample.signature.size(), ScenarioRunner::kWindowBins);
+        EXPECT_EQ(sample.history.size(), ScenarioEngine::kWindowBins);
+        EXPECT_EQ(sample.signature.size(), ScenarioEngine::kWindowBins);
         EXPECT_EQ(sample.futureWindow.cols(), testbed::kNumPerfEvents);
         EXPECT_EQ(sample.futureExec.cols(), testbed::kNumPerfEvents);
     }

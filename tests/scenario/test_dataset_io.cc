@@ -15,7 +15,7 @@ namespace
 
 using testbed::kNumPerfEvents;
 
-constexpr std::size_t kBins = ScenarioRunner::kWindowBins;
+constexpr std::size_t kBins = ScenarioEngine::kWindowBins;
 
 std::vector<ml::Matrix>
 randomSequence(Rng &rng)
@@ -249,9 +249,9 @@ TEST(PerformanceCsv, LoadedDataTrainsAModel)
     config.spawnMinSec = 5;
     config.spawnMaxSec = 20;
     config.seed = 77;
-    ScenarioRunner runner(config);
+    ScenarioEngine engine(config);
     RandomPlacement policy(78);
-    std::vector<ScenarioResult> results{runner.run(policy)};
+    std::vector<ScenarioResult> results{engine.run(policy)};
     SignatureStore signatures;
     collectAllSignatures(signatures);
 

@@ -23,7 +23,7 @@
 #include "models/system_state.hh"
 #include "scenario/dataset.hh"
 #include "scenario/dataset_io.hh"
-#include "scenario/runner.hh"
+#include "scenario/engine.hh"
 
 namespace
 {
@@ -44,9 +44,9 @@ config()
 scenario::ScenarioResult
 runOnce()
 {
-    scenario::ScenarioRunner runner(config());
+    scenario::ScenarioEngine engine(config());
     scenario::RandomPlacement policy(777);
-    return runner.run(policy);
+    return engine.run(policy);
 }
 
 std::string
@@ -187,10 +187,10 @@ TEST(DeterminismTest, TrainingIsThreadCountInvariant)
     const auto saved_config = ml::matrixParallelConfig();
     ml::setMatrixParallelConfig({0, 0});
 
-    scenario::ScenarioRunner runner(config());
+    scenario::ScenarioEngine engine(config());
     scenario::RandomPlacement policy(777);
     const std::vector<scenario::ScenarioResult> results{
-        runner.run(policy)};
+        engine.run(policy)};
     auto samples = scenario::DatasetBuilder::systemState(results);
     ASSERT_GE(samples.size(), 4u);
     samples.resize(std::min<std::size_t>(samples.size(), 24));

@@ -4,7 +4,7 @@
 
 #include <set>
 
-#include "scenario/runner.hh"
+#include "scenario/engine.hh"
 
 namespace adrias::scenario
 {
@@ -26,24 +26,24 @@ TEST(ScenarioRunner, ValidatesConfig)
 {
     ScenarioConfig bad = shortConfig();
     bad.durationSec = 0;
-    EXPECT_THROW(ScenarioRunner{bad}, std::runtime_error);
+    EXPECT_THROW(ScenarioEngine{bad}, std::runtime_error);
 
     ScenarioConfig bad2 = shortConfig();
     bad2.spawnMaxSec = 1;
     bad2.spawnMinSec = 5;
-    EXPECT_THROW(ScenarioRunner{bad2}, std::runtime_error);
+    EXPECT_THROW(ScenarioEngine{bad2}, std::runtime_error);
 
     ScenarioConfig bad3 = shortConfig();
     bad3.ibenchFraction = 0.8;
     bad3.lcFraction = 0.4;
-    EXPECT_THROW(ScenarioRunner{bad3}, std::runtime_error);
+    EXPECT_THROW(ScenarioEngine{bad3}, std::runtime_error);
 }
 
 TEST(ScenarioRunner, TraceCoversEveryTick)
 {
-    ScenarioRunner runner(shortConfig());
+    ScenarioEngine engine(shortConfig());
     RandomPlacement policy(5);
-    const ScenarioResult result = runner.run(policy);
+    const ScenarioResult result = engine.run(policy);
     EXPECT_EQ(result.trace.size(), 600u);
     EXPECT_EQ(result.concurrency.size(), 600u);
 }
@@ -51,8 +51,8 @@ TEST(ScenarioRunner, TraceCoversEveryTick)
 TEST(ScenarioRunner, DeterministicForSameSeed)
 {
     RandomPlacement policy_a(5), policy_b(5);
-    const auto a = ScenarioRunner(shortConfig(11)).run(policy_a);
-    const auto b = ScenarioRunner(shortConfig(11)).run(policy_b);
+    const auto a = ScenarioEngine(shortConfig(11)).run(policy_a);
+    const auto b = ScenarioEngine(shortConfig(11)).run(policy_b);
     ASSERT_EQ(a.records.size(), b.records.size());
     for (std::size_t i = 0; i < a.records.size(); ++i) {
         EXPECT_EQ(a.records[i].name, b.records[i].name);
@@ -66,8 +66,8 @@ TEST(ScenarioRunner, DeterministicForSameSeed)
 TEST(ScenarioRunner, DifferentSeedsDiffer)
 {
     RandomPlacement policy_a(5), policy_b(5);
-    const auto a = ScenarioRunner(shortConfig(1)).run(policy_a);
-    const auto b = ScenarioRunner(shortConfig(2)).run(policy_b);
+    const auto a = ScenarioEngine(shortConfig(1)).run(policy_a);
+    const auto b = ScenarioEngine(shortConfig(2)).run(policy_b);
     // Completion counts or traffic will differ with overwhelming odds.
     EXPECT_TRUE(a.records.size() != b.records.size() ||
                 a.totalRemoteTrafficGB != b.totalRemoteTrafficGB);
@@ -76,9 +76,9 @@ TEST(ScenarioRunner, DifferentSeedsDiffer)
 TEST(ScenarioRunner, ProducesAllWorkloadClasses)
 {
     ScenarioConfig config = shortConfig(7, 1800);
-    ScenarioRunner runner(config);
+    ScenarioEngine engine(config);
     RandomPlacement policy(5);
-    const ScenarioResult result = runner.run(policy);
+    const ScenarioResult result = engine.run(policy);
 
     std::set<WorkloadClass> classes;
     for (const auto &record : result.records)
@@ -93,18 +93,18 @@ TEST(ScenarioRunner, ConcurrencyRespectsCap)
 {
     ScenarioConfig config = shortConfig(9, 1200);
     config.maxConcurrent = 10;
-    ScenarioRunner runner(config);
+    ScenarioEngine engine(config);
     RandomPlacement policy(5);
-    const ScenarioResult result = runner.run(policy);
+    const ScenarioResult result = engine.run(policy);
     for (int c : result.concurrency)
         EXPECT_LE(c, 10);
 }
 
 TEST(ScenarioRunner, RecordsCarryPerformanceNumbers)
 {
-    ScenarioRunner runner(shortConfig(13, 1800));
+    ScenarioEngine engine(shortConfig(13, 1800));
     RandomPlacement policy(5);
-    const ScenarioResult result = runner.run(policy);
+    const ScenarioResult result = engine.run(policy);
     ASSERT_FALSE(result.records.empty());
     for (const auto &record : result.records) {
         EXPECT_GT(record.execTimeSec, 0.0);
@@ -115,30 +115,31 @@ TEST(ScenarioRunner, RecordsCarryPerformanceNumbers)
             EXPECT_GE(record.p999Ms, record.p99Ms);
             EXPECT_LT(record.meanLatencyMs, record.p99Ms);
         }
-        if (record.mode == MemoryMode::Local)
+        if (record.mode == MemoryMode::Local) {
             EXPECT_DOUBLE_EQ(record.remoteTrafficGB, 0.0);
+        }
     }
 }
 
 TEST(ScenarioRunner, RemoteDeploymentsGenerateChannelTraffic)
 {
-    ScenarioRunner runner(shortConfig(17, 1200));
+    ScenarioEngine engine(shortConfig(17, 1200));
     RandomPlacement policy(5);
-    const ScenarioResult result = runner.run(policy);
+    const ScenarioResult result = engine.run(policy);
     EXPECT_GT(result.totalRemoteTrafficGB, 0.0);
 }
 
 TEST(ScenarioRunner, HistoryWindowsAttachedAfterWarmup)
 {
-    ScenarioRunner runner(shortConfig(19, 1200));
+    ScenarioEngine engine(shortConfig(19, 1200));
     RandomPlacement policy(5);
-    const ScenarioResult result = runner.run(policy);
+    const ScenarioResult result = engine.run(policy);
     std::size_t with_window = 0;
     for (const auto &record : result.records) {
         if (!record.historyWindow.empty()) {
             ++with_window;
             EXPECT_EQ(record.historyWindow.size(),
-                      ScenarioRunner::kWindowBins);
+                      ScenarioEngine::kWindowBins);
         }
     }
     EXPECT_GT(with_window, result.records.size() / 2);
@@ -146,9 +147,9 @@ TEST(ScenarioRunner, HistoryWindowsAttachedAfterWarmup)
 
 TEST(ScenarioRunner, RecordsOfClassFilters)
 {
-    ScenarioRunner runner(shortConfig(23, 1200));
+    ScenarioEngine engine(shortConfig(23, 1200));
     RandomPlacement policy(5);
-    const ScenarioResult result = runner.run(policy);
+    const ScenarioResult result = engine.run(policy);
     const auto be = result.recordsOfClass(WorkloadClass::BestEffort);
     for (const auto *record : be)
         EXPECT_EQ(record->cls, WorkloadClass::BestEffort);
@@ -171,7 +172,7 @@ TEST(HistoryWindowAt, UsesTrailingWindow)
         for (double &v : trace[i])
             v = static_cast<double>(i);
     const auto seq = historyWindowAt(trace, 250);
-    ASSERT_EQ(seq.size(), ScenarioRunner::kWindowBins);
+    ASSERT_EQ(seq.size(), ScenarioEngine::kWindowBins);
     // Window is [130, 250): first bin ~134.5, last ~244.5.
     EXPECT_NEAR(seq.front().at(0, 0), 134.5, 1e-9);
     EXPECT_NEAR(seq.back().at(0, 0), 244.5, 1e-9);
@@ -193,9 +194,9 @@ TEST_P(SpawnIntervalTest, HigherArrivalRateRaisesConcurrency)
         config.spawnMinSec = lo;
         config.spawnMaxSec = hi;
         config.seed = 31;
-        ScenarioRunner runner(config);
+        ScenarioEngine engine(config);
         RandomPlacement policy(5);
-        const auto result = runner.run(policy);
+        const auto result = engine.run(policy);
         double total = 0.0;
         for (int c : result.concurrency)
             total += c;

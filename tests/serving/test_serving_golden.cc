@@ -26,7 +26,7 @@ namespace
 using core::AdriasStack;
 using scenario::ScenarioConfig;
 using scenario::ScenarioResult;
-using scenario::ScenarioRunner;
+using scenario::ScenarioEngine;
 
 /** One trained stack shared across the suite (training is the cost). */
 class ServingGoldenTest : public ::testing::Test
@@ -77,8 +77,8 @@ class ServingGoldenTest : public ::testing::Test
         // fresh window the inline orchestrator reads per arrival.
         adapter.epochTicks = 1;
         ServedPlacementPolicy served(service, signatures, adapter);
-        ScenarioRunner runner(evalConfig(seed));
-        ScenarioResult result = runner.run(served);
+        ScenarioEngine engine(evalConfig(seed));
+        ScenarioResult result = engine.run(served);
         // Synchronous façade leaves nothing behind.
         EXPECT_EQ(service.inflightCount(), 0u);
         EXPECT_EQ(service.stats().rejectedBackpressure, 0u);
@@ -111,9 +111,9 @@ TEST_F(ServingGoldenTest, ServedDecisionsMatchInlineOrchestrator)
     scenario::SignatureStore inline_store = stack->signatures();
     core::AdriasOrchestrator inline_policy(stack->predictor(),
                                            inline_store, {});
-    ScenarioRunner inline_runner(evalConfig(901));
+    ScenarioEngine inline_engine(evalConfig(901));
     const ScenarioResult inline_result =
-        inline_runner.run(inline_policy);
+        inline_engine.run(inline_policy);
 
     scenario::SignatureStore served_store = stack->signatures();
     const ScenarioResult served_result = runServed(901, served_store);
@@ -156,8 +156,8 @@ TEST_F(ServingGoldenTest, FusedBatchMatchesSingleQueriesExactly)
     // Harvest real history windows from a scenario trace.
     scenario::SignatureStore store = stack->signatures();
     core::AdriasOrchestrator policy(stack->predictor(), store, {});
-    ScenarioRunner runner(evalConfig(903));
-    const ScenarioResult result = runner.run(policy);
+    ScenarioEngine engine(evalConfig(903));
+    const ScenarioResult result = engine.run(policy);
 
     std::vector<models::PredictorBase::PerfQuery> queries;
     std::vector<const scenario::DeploymentRecord *> owners;
@@ -194,8 +194,8 @@ TEST_F(ServingGoldenTest, BatchResultsInvariantAcrossThreadCounts)
 {
     scenario::SignatureStore store = stack->signatures();
     core::AdriasOrchestrator policy(stack->predictor(), store, {});
-    ScenarioRunner runner(evalConfig(904));
-    const ScenarioResult result = runner.run(policy);
+    ScenarioEngine engine(evalConfig(904));
+    const ScenarioResult result = engine.run(policy);
 
     std::vector<models::PredictorBase::PerfQuery> queries;
     for (const auto &record : result.records) {

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "scenario/engine.hh"
-#include "scenario/runner.hh"
 #include "testbed/rack.hh"
 #include "testbed/testbed.hh"
 #include "testbed/topology.hh"
